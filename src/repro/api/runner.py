@@ -10,7 +10,7 @@ engines the bespoke entry points used to call directly:
 - ``llm``       -> :func:`repro.llmserve.engine.run_llm_serving`
 - ``figure``    -> the :data:`repro.api.figures.FIGURES` registry
 
-``sweep_scenario`` fans scenario variants out over
+``sweep_scenario`` fans chunks of scenario variants out over
 :func:`repro.parallel.parallel_map`; results are identical for any
 worker count because each variant is an independent simulation rebuilt
 from its serialised spec.
@@ -543,23 +543,23 @@ def _run_scenario_batch_payload(payloads: Sequence[str]) -> List[Dict[str, Any]]
     a single :class:`repro.megabatch.MegaBatchEngine` batch.
 
     Batchable scenarios become lanes of one engine; the rest run through
-    ``run_scenario`` unchanged.  Output order matches input order, and
-    every metric is bit-identical to the per-point worker's."""
+    ``run_scenario`` unchanged, as does a one-point chunk.  Output order
+    matches input order, and every metric is bit-identical to
+    ``_run_scenario_payload``'s."""
     scenarios = [Scenario.from_dict(json.loads(p)) for p in payloads]
-    prepared = [_prepare_batchable(sc) for sc in scenarios]
-    sims = [pf[0] for pf in prepared if pf is not None]
-    if len(sims) > 1:
-        from repro.megabatch import run_simulators
+    if len(scenarios) == 1:
+        return [run_scenario(scenarios[0]).to_dict()]
+    from repro.megabatch import run_simulators
 
-        lane_results = iter(run_simulators(sims))
-        out = []
-        for scenario, pf in zip(scenarios, prepared):
-            if pf is None:
-                out.append(run_scenario(scenario).to_dict())
-            else:
-                out.append(pf[1](next(lane_results)).to_dict())
-        return out
-    return [run_scenario(sc).to_dict() for sc in scenarios]
+    prepared = [_prepare_batchable(sc) for sc in scenarios]
+    lane_results = iter(
+        run_simulators([pf[0] for pf in prepared if pf is not None])
+    )
+    results = [
+        run_scenario(sc) if pf is None else pf[1](next(lane_results))
+        for sc, pf in zip(scenarios, prepared)
+    ]
+    return [r.to_dict() for r in results]
 
 
 def sweep_variants(
@@ -638,26 +638,17 @@ def sweep_scenario(
     for variant in variants:
         variant.validate()  # fail fast, before spawning workers
     payloads = [json.dumps(v.to_dict()) for v in variants]
-    from repro.megabatch import megabatch_default
+    from repro.megabatch import megabatch_chunks
 
-    if megabatch_default() and len(payloads) > 1:
-        # Mega-batch path: chunk the sweep and co-step each chunk's
-        # simulations through one struct-of-arrays engine per worker.
-        # Bit-identical to the per-point path (the REPRO_SIM_MEGABATCH=0
-        # escape hatch) for any chunking or worker count.
-        chunks = [
-            payloads[i : i + _SWEEP_BATCH]
-            for i in range(0, len(payloads), _SWEEP_BATCH)
-        ]
-        chunked = parallel_map(
-            _run_scenario_batch_payload, chunks, max_workers=max_workers
-        )
-        results = [r for chunk in chunked for r in chunk]
-    else:
-        results = parallel_map(
-            _run_scenario_payload, payloads, max_workers=max_workers
-        )
-    return [RunResult.from_dict(r) for r in results]
+    # Each worker co-steps one chunk's simulations through a mega-batch
+    # engine; bit-identical to one point per chunk (the
+    # REPRO_SIM_MEGABATCH=0 reference) for any chunking or worker count.
+    chunked = parallel_map(
+        _run_scenario_batch_payload,
+        megabatch_chunks(payloads, _SWEEP_BATCH),
+        max_workers=max_workers,
+    )
+    return [RunResult.from_dict(r) for chunk in chunked for r in chunk]
 
 
 # ----------------------------------------------------------------------

@@ -16,12 +16,16 @@ a freshly spawned process the parent owns outright, so the parent can
   failed task becomes a structured :class:`~repro.exec.base.TaskFailure`
   and the rest of the queue keeps draining.
 
-Dispatch is single-feeder: every worker has its own task queue, so the
-parent always knows exactly which task a dead or stuck worker was
-holding.  Results are merged by task index, and tasks are deterministic
-functions of their payloads, so scheduling nondeterminism (who ran
-what, in which order, after how many crashes) never reaches the output:
-the merged result list is bit-identical to the ``serial`` backend's.
+Every worker talks to the parent over its own duplex pipe, one task at
+a time, so the parent always knows which task a dead or stuck worker
+was holding.  The parent blocks on every pipe plus every process
+sentinel at once: a worker's death shows up immediately (during spawn
+boot too) and can only take its own pipe down with it -- there is no
+channel shared between workers for a kill to wedge.  Results are merged
+by task index, and tasks are deterministic functions of their payloads,
+so scheduling nondeterminism (who ran what, in which order, after how
+many crashes) never reaches the output: the merged result list is
+bit-identical to the ``serial`` backend's.
 
 ``spawn`` (not ``fork``) keeps workers independent of parent state --
 the same start method on every platform, and no inherited locks to
@@ -31,12 +35,11 @@ deadlock on after a kill.
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from multiprocessing.connection import wait
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import ExecError
 from repro.exec.base import (
     CompletionHook,
     ExecTask,
@@ -46,69 +49,52 @@ from repro.exec.base import (
 )
 from repro.parallel import default_workers
 
-#: Parent poll tick while waiting on results/deadlines, in seconds.
-_POLL_S = 0.02
-#: Grace given to a worker to exit after its sentinel, before kill.
+#: Grace given to a worker to exit on its own before it is killed.
 _JOIN_S = 2.0
-#: How long a dispatched task may sit without its worker announcing
-#: pickup before the worker is presumed hung in spawn boot and killed.
-#: task_timeout_s itself only starts once the worker reports it began
-#: the task, so slow spawns never eat into a task's budget.
-_BOOT_TIMEOUT_S = 60.0
 
 _CTX = multiprocessing.get_context("spawn")
 
 
-def _worker_main(fn: Callable[[Any], Any], task_queue, result_queue) -> None:
-    """Worker loop: one task in, one ``(index, attempt, ...)`` reply out.
-
-    Replies carry the dispatch's attempt number so the parent can drop
-    stale replies from a worker it already gave up on (e.g. a result
-    that squeaked out right as a timeout fired).
-    """
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        index, attempt, payload = item
-        # Announce pickup so the parent's task_timeout_s clock measures
-        # the task itself, not queueing or this worker's spawn boot.
-        result_queue.put((index, attempt, "start", None))
-        try:
-            value = fn(payload)
-        except Exception as exc:  # noqa: BLE001 - isolation is the point
-            result_queue.put(
-                (index, attempt, False, (type(exc).__name__, str(exc)))
-            )
-        else:
-            result_queue.put((index, attempt, True, value))
+def _worker_main(fn: Callable[[Any], Any], conn) -> None:
+    """Worker loop: one payload in, ``("start", None)`` then one
+    ``("ok", value)`` or ``("error", (type, message))`` reply out.
+    Exits quietly once the parent closes its end of the pipe or dies."""
+    try:
+        while True:
+            payload = conn.recv()
+            # Announce pickup so the parent's task_timeout_s clock
+            # measures the task itself, not this worker's spawn boot.
+            conn.send(("start", None))
+            try:
+                reply = ("ok", fn(payload))
+            except Exception as exc:  # noqa: BLE001 - isolation is the point
+                reply = ("error", (type(exc).__name__, str(exc)))
+            conn.send(reply)
+    except (EOFError, OSError):
+        return
 
 
 @dataclass
 class _Worker:
     process: Any
-    task_queue: Any
-    #: (task index, attempt, clock start, started?); None when idle.
-    #: ``started`` flips True when the worker announces pickup, which
-    #: also restarts the clock -- task_timeout_s measures the task
-    #: itself, never queueing or the worker's spawn boot (which gets
-    #: the separate, generous ``_BOOT_TIMEOUT_S``).
-    running: Optional[tuple] = None
+    conn: Any
+    #: The task this worker holds; None when idle.
+    state: Optional["_TaskState"] = None
+    #: When the held task times out; set once the worker announces
+    #: pickup (None before that, or without ``task_timeout_s``).
+    deadline: Optional[float] = None
 
 
 class _TaskState:
     """Parent-side bookkeeping for one task."""
 
-    __slots__ = ("task", "index", "attempts", "ready_at", "last_error",
-                 "timed_out")
+    __slots__ = ("task", "index", "attempts", "ready_at")
 
     def __init__(self, task: ExecTask, index: int) -> None:
         self.task = task
         self.index = index
         self.attempts = 0
         self.ready_at = 0.0
-        self.last_error = ("ExecError", "never attempted")
-        self.timed_out = False
 
 
 class LocalQueueExecutor(Executor):
@@ -151,183 +137,170 @@ class _CrewRun:
         self.executor = executor
         self.spec = executor.spec
         self.fn = fn
-        self.tasks = list(tasks)
         self.crew_size = crew_size
         self.on_complete = on_complete
-        self.result_queue = _CTX.Queue()
-        self.states = [_TaskState(t, i) for i, t in enumerate(self.tasks)]
-        self.pending: List[_TaskState] = list(self.states)
-        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(self.tasks)
+        self.pending = [_TaskState(t, i) for i, t in enumerate(tasks)]
+        self.outcomes: List[Optional[TaskOutcome]] = [None] * len(tasks)
+        self.unsettled = len(tasks)
         self.workers: List[_Worker] = []
 
     # ------------------------------------------------------------------
     # Crew lifecycle
     # ------------------------------------------------------------------
-    def _spawn_worker(self) -> _Worker:
-        task_queue = _CTX.Queue()
+    def _spawn_worker(self) -> None:
+        parent_conn, child_conn = _CTX.Pipe()
         process = _CTX.Process(
-            target=_worker_main,
-            args=(self.fn, task_queue, self.result_queue),
-            daemon=True,
+            target=_worker_main, args=(self.fn, child_conn), daemon=True
         )
         process.start()
-        worker = _Worker(process=process, task_queue=task_queue)
-        return worker
+        # Only the worker may hold the child end: once it dies, the
+        # parent's end reads EOF instead of blocking forever.
+        child_conn.close()
+        self.workers.append(_Worker(process=process, conn=parent_conn))
 
-    def _kill_worker(self, worker: _Worker) -> None:
+    def _stop_worker(self, worker: _Worker) -> None:
+        worker.conn.close()
         if worker.process.is_alive():
             worker.process.kill()
         worker.process.join(_JOIN_S)
-        # Release the queue's feeder thread resources.
-        worker.task_queue.close()
-        worker.running = None
+
+    def _replace_worker(self, worker: _Worker) -> None:
+        self._stop_worker(worker)
+        self.workers.remove(worker)
+        if self.unsettled:
+            self._spawn_worker()
 
     def _shutdown(self) -> None:
+        # An idle worker exits on the EOF; a busy one only remains when
+        # the map aborts, and its task's result is no longer wanted.
         for worker in self.workers:
-            if worker.running is None and worker.process.is_alive():
-                try:
-                    worker.task_queue.put_nowait(None)
-                except Exception:  # pragma: no cover - queue already gone
-                    pass
+            worker.conn.close()
         deadline = time.monotonic() + _JOIN_S
         for worker in self.workers:
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-        for worker in self.workers:
-            self._kill_worker(worker)
-        self.result_queue.close()
+            if worker.state is None:
+                worker.process.join(max(0.0, deadline - time.monotonic()))
+            self._stop_worker(worker)
 
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
     def run(self) -> List[TaskOutcome]:
-        self.workers = [self._spawn_worker() for _ in range(self.crew_size)]
+        for _ in range(self.crew_size):
+            self._spawn_worker()
         try:
-            while any(o is None for o in self.outcomes):
+            while self.unsettled:
                 self._dispatch()
-                self._collect()
-                self._check_deadlines_and_liveness()
+                ready = set(wait(
+                    [w.conn for w in self.workers]
+                    + [w.process.sentinel for w in self.workers],
+                    self._wait_timeout(),
+                ))
+                for worker in list(self.workers):
+                    if worker.conn in ready:
+                        self._drain(worker)
+                    elif worker.process.sentinel in ready:
+                        self._worker_died(worker)
+                self._expire_deadlines()
             return self.outcomes  # type: ignore[return-value]
         finally:
             self._shutdown()
 
     def _dispatch(self) -> None:
         now = time.monotonic()
-        idle = [w for w in self.workers if w.running is None]
-        if not idle or not self.pending:
-            return
+        idle = [w for w in self.workers if w.state is None]
         ready = [s for s in self.pending if s.ready_at <= now]
         for worker, state in zip(idle, ready):
             self.pending.remove(state)
             state.attempts += 1
-            worker.running = (state.index, state.attempts, now, False)
-            worker.task_queue.put(
-                (state.index, state.attempts, state.task.payload)
-            )
-
-    def _collect(self) -> None:
-        try:
-            reply = self.result_queue.get(timeout=_POLL_S)
-        except queue_mod.Empty:
-            return
-        while True:
-            self._absorb(reply)
+            worker.state = state
             try:
-                reply = self.result_queue.get_nowait()
-            except queue_mod.Empty:
-                return
+                worker.conn.send(state.task.payload)
+            except OSError:
+                # The worker is already gone; its sentinel settles the
+                # attempt on the next wait.
+                pass
 
-    def _absorb(self, reply: tuple) -> None:
-        index, attempt, ok, value = reply
-        worker = self._worker_running(index, attempt)
-        if worker is None:
-            # Stale reply from an attempt the parent already wrote off
-            # (timeout fired as the worker finished).  The task was
-            # either retried or resolved; drop the duplicate.
+    def _wait_timeout(self) -> Optional[float]:
+        """Seconds until the nearest task deadline or, with a worker
+        idle, the nearest backoff release; None blocks until a reply or
+        a death."""
+        wakeups = [w.deadline for w in self.workers if w.deadline is not None]
+        if any(w.state is None for w in self.workers):
+            wakeups.extend(s.ready_at for s in self.pending)
+        if not wakeups:
+            return None
+        return max(0.0, min(wakeups) - time.monotonic())
+
+    def _drain(self, worker: _Worker) -> None:
+        """Absorb every reply waiting on ``worker``'s pipe; EOF means
+        the worker died."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                kind, value = worker.conn.recv()
+            except (EOFError, OSError):
+                self._worker_died(worker)
+                return
+            self._absorb(worker, kind, value)
+
+    def _absorb(self, worker: _Worker, kind: str, value: Any) -> None:
+        if kind == "start":
+            if self.spec.task_timeout_s is not None:
+                worker.deadline = time.monotonic() + self.spec.task_timeout_s
             return
-        if ok == "start":
-            # Worker picked the task up: restart its deadline clock so
-            # timeouts measure the task, not queueing or spawn boot.
-            worker.running = (index, attempt, time.monotonic(), True)
-            return
-        worker.running = None
-        state = self.states[index]
-        if ok:
+        state = worker.state
+        worker.state = worker.deadline = None
+        if kind == "ok":
             self._resolve(
                 TaskOutcome(
                     key=state.task.key,
-                    index=index,
+                    index=state.index,
                     value=value,
                     attempts=state.attempts,
                 )
             )
         else:
-            state.last_error = value
-            state.timed_out = False
-            self._retry_or_fail(state)
+            self._retry_or_fail(state, value)
 
-    def _worker_running(self, index: int, attempt: int) -> Optional[_Worker]:
-        for worker in self.workers:
-            if worker.running is not None and worker.running[:2] == (
-                index, attempt,
-            ):
-                return worker
-        return None
+    def _worker_died(self, worker: _Worker) -> None:
+        # Reap first so the exit code is the worker's own, not our kill's.
+        worker.process.join(_JOIN_S)
+        state = worker.state
+        self._replace_worker(worker)
+        if state is not None:
+            self._retry_or_fail(state, (
+                "WorkerDied",
+                f"worker exited with code {worker.process.exitcode} "
+                "mid-task",
+            ))
 
-    def _check_deadlines_and_liveness(self) -> None:
+    def _expire_deadlines(self) -> None:
         now = time.monotonic()
-        timeout = self.spec.task_timeout_s
         for worker in list(self.workers):
-            if worker.running is None:
-                if not worker.process.is_alive():
-                    # An idle worker died (e.g. killed externally);
-                    # replace it so the crew keeps its width.
-                    self._replace_worker(worker)
-                continue
-            index, _attempt, clock_start, started = worker.running
-            state = self.states[index]
-            overdue = (
-                timeout is not None and now - clock_start > timeout
-                if started
-                else now - clock_start > _BOOT_TIMEOUT_S
-            )
-            if overdue:
-                state.last_error = (
+            if worker.deadline is not None and now >= worker.deadline:
+                state = worker.state
+                self._replace_worker(worker)
+                self._retry_or_fail(state, (
                     "TimeoutError",
-                    f"exceeded task_timeout_s={timeout:g}s"
-                    if started
-                    else "worker never started the task "
-                    f"(spawn boot exceeded {_BOOT_TIMEOUT_S:g}s)",
-                )
-                state.timed_out = True
-                self._replace_worker(worker)
-                self._retry_or_fail(state)
-            elif not worker.process.is_alive():
-                exit_code = worker.process.exitcode
-                state.last_error = (
-                    "WorkerDied",
-                    f"worker exited with code {exit_code} mid-task",
-                )
-                state.timed_out = False
-                self._replace_worker(worker)
-                self._retry_or_fail(state)
-
-    def _replace_worker(self, worker: _Worker) -> None:
-        self._kill_worker(worker)
-        self.workers.remove(worker)
-        if any(o is None for o in self.outcomes):
-            self.workers.append(self._spawn_worker())
+                    f"exceeded task_timeout_s={self.spec.task_timeout_s:g}s",
+                ), timed_out=True)
 
     # ------------------------------------------------------------------
     # Task settlement
     # ------------------------------------------------------------------
-    def _retry_or_fail(self, state: _TaskState) -> None:
+    def _retry_or_fail(
+        self, state: _TaskState, error: Tuple[str, str], timed_out: bool = False
+    ) -> None:
+        """Queue the task's next attempt, or settle it as failed with
+        this attempt's ``(error type, message)``."""
         if state.attempts < self.spec.max_attempts:
             state.ready_at = time.monotonic() + self.spec.backoff_before(
                 state.attempts + 1
             )
             self.pending.append(state)
             return
-        error_type, message = state.last_error
+        error_type, message = error
         self._resolve(
             TaskOutcome(
                 key=state.task.key,
@@ -338,7 +311,7 @@ class _CrewRun:
                     error_type=error_type,
                     message=message,
                     attempts=state.attempts,
-                    timed_out=state.timed_out,
+                    timed_out=timed_out,
                 ),
                 attempts=state.attempts,
             )
@@ -346,8 +319,7 @@ class _CrewRun:
 
     def _resolve(self, outcome: TaskOutcome) -> None:
         self.outcomes[outcome.index] = outcome
-        try:
-            self.executor._settle(outcome, self.on_complete)
-        except ExecError:
-            # Abort: the finally-block shutdown kills the crew.
-            raise
+        self.unsettled -= 1
+        # Raises ExecError to abort unless failures are kept; the
+        # finally-block shutdown then kills the crew.
+        self.executor._settle(outcome, self.on_complete)

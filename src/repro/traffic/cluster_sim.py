@@ -80,7 +80,7 @@ from repro.errors import (
     SimulationError,
     ValidationError,
 )
-from repro.megabatch import megabatch_default
+from repro.megabatch import megabatch_chunks
 from repro.parallel import parallel_map
 from repro.runtime import command as _command_module
 from repro.api.registries import SCHEDULERS, scheme_isa
@@ -367,13 +367,6 @@ def _finalize_host_segment(
     )
 
 
-def _simulate_host_segment(
-    job: _HostSegmentJob,
-) -> Tuple[str, float, float, float, List[Tuple[str, SloReport]]]:
-    """Worker entry point: simulate one host over one segment."""
-    return _finalize_host_segment(job, _build_host_segment(job).run())
-
-
 #: Host segments co-stepped per mega-batch worker (see
 #: ``repro.megabatch``); chunking keeps multi-process fan-out useful on
 #: big fleets while each worker amortises its batch engine.
@@ -384,8 +377,8 @@ def _simulate_host_segment_batch(
     jobs: Sequence[_HostSegmentJob],
 ) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
     """Worker entry point: co-step one chunk of host segments through a
-    single mega-batch engine.  Bit-identical to mapping
-    ``_simulate_host_segment`` over the chunk."""
+    single mega-batch engine.  Bit-identical to running each segment's
+    simulator alone, which is what a one-job chunk does."""
     sims = [_build_host_segment(job) for job in jobs]
     if len(sims) > 1:
         from repro.megabatch import run_simulators
@@ -400,16 +393,17 @@ def _simulate_host_segment_batch(
 
 
 def _executor_fan_out(
-    jobs: Sequence[_HostSegmentJob], cfg: "ClusterTrafficConfig"
-) -> List[Tuple[str, float, float, float, List[Tuple[str, SloReport]]]]:
-    """Fan one segment's host jobs out through a ``repro.exec`` backend.
+    chunks: Sequence[Sequence[_HostSegmentJob]], cfg: "ClusterTrafficConfig"
+) -> List[List[Tuple]]:
+    """Fan one segment's host-job chunks out through a ``repro.exec``
+    backend.
 
-    Mirrors the ``parallel_map`` branch exactly (same mega-batch
-    chunking, same merge order), adding the executor's retry/timeout
-    robustness.  ``keep_going`` is coerced off: unlike sweep points,
-    host segments are partial products of one simulation -- silently
-    dropping one would skew cluster metrics rather than shrink a result
-    list -- so a permanently failed segment aborts the run with
+    Mirrors the ``parallel_map`` branch exactly (same chunks, same merge
+    order), adding the executor's retry/timeout robustness.
+    ``keep_going`` is coerced off: unlike sweep points, host segments
+    are partial products of one simulation -- silently dropping one
+    would skew cluster metrics rather than shrink a result list -- so a
+    permanently failed segment aborts the run with
     :class:`repro.errors.ExecError`.
     """
     import dataclasses
@@ -425,22 +419,12 @@ def _executor_fan_out(
         changes["max_workers"] = cfg.max_workers
     if changes:
         spec = dataclasses.replace(spec, **changes)
-    executor = make_executor(spec)
-    if megabatch_default() and len(jobs) > 1:
-        chunks = [
-            jobs[i : i + _SEGMENT_BATCH]
-            for i in range(0, len(jobs), _SEGMENT_BATCH)
-        ]
-        tasks = [
-            ExecTask(key=f"chunk-{i}-{chunk[0].host_name}", payload=chunk)
-            for i, chunk in enumerate(chunks)
-        ]
-        outcomes = executor.map_tasks(_simulate_host_segment_batch, tasks)
-        return [item for o in outcomes for item in o.value]
     tasks = [
-        ExecTask(key=f"host-{job.host_name}", payload=job) for job in jobs
+        ExecTask(key=f"chunk-{i}-{chunk[0].host_name}", payload=chunk)
+        for i, chunk in enumerate(chunks)
     ]
-    outcomes = executor.map_tasks(_simulate_host_segment, tasks)
+    executor = make_executor(spec)
+    outcomes = executor.map_tasks(_simulate_host_segment_batch, tasks)
     return [o.value for o in outcomes]
 
 
@@ -1384,29 +1368,18 @@ class ClusterSimulation:
             )
 
         # Hosts are independent within a stable segment: fan out, then
-        # merge in deterministic host order.  The mega-batch path
-        # co-steps each chunk's hosts through one engine per worker;
-        # REPRO_SIM_MEGABATCH=0 restores the one-sim-per-job fan-out.
-        if cfg.executor is not None and len(jobs) > 0:
-            outcomes = _executor_fan_out(jobs, cfg)
-        elif megabatch_default() and len(jobs) > 1:
-            chunks = [
-                jobs[i : i + _SEGMENT_BATCH]
-                for i in range(0, len(jobs), _SEGMENT_BATCH)
-            ]
-            outcomes = [
-                outcome
-                for chunk in parallel_map(
-                    _simulate_host_segment_batch,
-                    chunks,
-                    max_workers=cfg.max_workers,
-                )
-                for outcome in chunk
-            ]
+        # merge in deterministic host order.  Each worker co-steps one
+        # chunk's hosts through a mega-batch engine; REPRO_SIM_MEGABATCH=0
+        # makes every chunk a single job.
+        chunks = megabatch_chunks(jobs, _SEGMENT_BATCH)
+        if cfg.executor is not None and chunks:
+            chunked = _executor_fan_out(chunks, cfg)
         else:
-            outcomes = parallel_map(
-                _simulate_host_segment, jobs, max_workers=cfg.max_workers
+            chunked = parallel_map(
+                _simulate_host_segment_batch, chunks,
+                max_workers=cfg.max_workers,
             )
+        outcomes = [outcome for chunk in chunked for outcome in chunk]
         seg_me = seg_ve = 0.0
         seg_offered = seg_attained = 0
         for host_name, me_seconds, ve_seconds, cycles, host_reports in outcomes:

@@ -190,6 +190,27 @@ def test_local_queue_survives_worker_death(tmp_path):
     assert outcomes[1].value == "calm" and outcomes[1].attempts == 1
 
 
+def test_local_queue_worker_death_stress(tmp_path):
+    """The crash scenario above, 20 times over: every respawned worker
+    must pick its task up, so no run ever needs a third attempt or
+    loses the innocent task."""
+    executor = make(
+        "local-queue", max_workers=2, retries=2, retry_backoff_s=0.0,
+    )
+    for run in range(20):
+        scratch = str(tmp_path / f"run{run}")
+        payloads = [
+            {"scratch": scratch, "key": "boom", "crash_times": 1,
+             "value": "ok-after-crash"},
+            {"scratch": scratch, "key": "calm", "crash_times": 0,
+             "value": "calm"},
+        ]
+        outcomes = executor.map_tasks(crashing_task, tasks_for(payloads))
+        assert [(o.value, o.attempts) for o in outcomes] == [
+            ("ok-after-crash", 2), ("calm", 1),
+        ], f"run {run}"
+
+
 def test_local_queue_permanent_crash_keep_going(tmp_path):
     executor = make(
         "local-queue", max_workers=1, retries=1, retry_backoff_s=0.0,

@@ -129,7 +129,7 @@ def _snapshot(result):
     }
 
 
-def _assert_batch_matches_scalar(specs, numpy_min_lanes=None):
+def _assert_batch_matches_scalar(specs):
     """Build each spec twice; batch run must equal per-sim runs exactly.
 
     ``specs`` is a list of ``(scheme, kind, seed, record_ops)`` tuples;
@@ -138,7 +138,7 @@ def _assert_batch_matches_scalar(specs, numpy_min_lanes=None):
     """
     scalar = [_snapshot(_make_sim(*spec).run()) for spec in specs]
     sims = [_make_sim(*spec) for spec in specs]
-    engine = MegaBatchEngine(sims, numpy_min_lanes=numpy_min_lanes)
+    engine = MegaBatchEngine(sims)
     batched = [_snapshot(result) for result in engine.run()]
     assert batched == scalar
     return engine
@@ -195,14 +195,6 @@ def test_lane_order_does_not_change_any_lane():
         results = MegaBatchEngine([_make_sim(*s) for s in order]).run()
         for spec, res in zip(order, results):
             assert _snapshot(res) == base[spec]
-
-
-def test_numpy_bucket_path_bit_identical():
-    """numpy_min_lanes=2 forces the vectorised bucket kernel (the
-    default keeps it opt-in); results must not move by a bit."""
-    specs = [("neu10", "open", i, False) for i in range(8)]
-    specs += [("neu10", "closed", 33, False) for _ in range(4)]
-    _assert_batch_matches_scalar(specs, numpy_min_lanes=2)
 
 
 def test_record_ops_lanes_bit_identical():
